@@ -1,0 +1,1 @@
+"""Pipeline benchmark: see README.md and run.py."""
