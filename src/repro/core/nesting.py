@@ -76,16 +76,26 @@ class _TimerIntervals:
     chronological for almost every timer; unsorted starts (mixed
     SET/WAIT clusters) fall back to the plain first-match scan.
     Results are identical to the brute-force pairwise scan either way.
+
+    As an inner, the timer needs ``needed`` contained episodes (see
+    :func:`_support_floor`).  An outer can contain an episode only if
+    it is armed by the episode's start and lives to its end, so it can
+    reach ``needed`` only when its earliest start is at most the
+    ``needed``-th latest start (``start_cap``) and its latest end at
+    least the ``needed``-th earliest end (``end_floor``).  Every pair
+    outside that envelope is rejected before any containment test.
     """
 
     __slots__ = ("site", "intervals", "starts", "sorted_starts",
                  "min_start", "max_start", "min_end", "max_end",
-                 "record_ends", "record_at", "starts_sorted",
-                 "ends_sorted", "_columns")
+                 "record_ends", "record_at", "needed", "start_cap",
+                 "end_floor", "_columns")
 
-    def __init__(self, site, intervals: list[tuple[int, int, int]]):
+    def __init__(self, site, intervals: list[tuple[int, int, int]],
+                 needed: int):
         self.site = site
         self.intervals = intervals
+        self.needed = needed
         starts = [iv[0] for iv in intervals]
         self.starts = starts
         self.sorted_starts = all(a <= b for a, b in
@@ -105,13 +115,15 @@ class _TimerIntervals:
         self.max_end = peak
         self.record_ends = record_ends
         self.record_at = record_at
-        # Sorted views for the pair-level support upper bound: how many
-        # of *this* timer's episodes could possibly fit inside a given
-        # outer's [min_start, max_end] envelope.
-        self.starts_sorted = starts if self.sorted_starts \
-            else sorted(starts)
-        ends.sort()
-        self.ends_sorted = ends
+        if 0 < needed <= len(intervals):
+            ends.sort()
+            self.start_cap = (starts if self.sorted_starts
+                              else sorted(starts))[len(starts) - needed]
+            self.end_floor = ends[needed - 1]
+        else:
+            # A zero floor keeps every pair whose envelopes touch at
+            # all; a floor above n never makes this timer an inner.
+            self.start_cap, self.end_floor = self.max_start, self.min_end
         self._columns = None
 
     def columns(self):
@@ -175,19 +187,6 @@ def _support_floor(n_inner: int, min_support: int,
     while needed <= n_inner and needed / n_inner < min_containment:
         needed += 1
     return needed
-
-
-def _support_ceiling(inner: _TimerIntervals, o_min_start: int,
-                     o_max_end: int) -> int:
-    """Upper bound on how many of ``inner``'s episodes any outer with
-    this [min_start, max_end] envelope can contain: an episode needs
-    ``i_start >= some o_start >= o_min_start`` and
-    ``i_end <= some o_end <= o_max_end``.  Two bisects over the sorted
-    start/end views bound both conditions."""
-    starts_ok = len(inner.starts_sorted) - \
-        bisect_left(inner.starts_sorted, o_min_start)
-    ends_ok = bisect_right(inner.ends_sorted, o_max_end)
-    return starts_ok if starts_ok < ends_ok else ends_ok
 
 
 def _batch_first_containing(outer: _TimerIntervals,
@@ -263,7 +262,14 @@ def infer_nesting(source, *, min_support: int = 3,
     Containment is strict on the start side (the outer timer must be
     armed first) and inclusive on the end side.  Pairs must share a
     pid: nesting across processes is not meaningful at this level.
+    With both thresholds at zero, a pair is reported even with no
+    contained episode, provided the two timers' envelopes overlap.
     """
+    if min_support < 0:
+        raise ValueError(f"min_support must be >= 0, got {min_support}")
+    if not 0.0 <= min_containment <= 1.0:     # also rejects NaN
+        raise ValueError(f"min_containment must be in [0, 1], "
+                         f"got {min_containment!r}")
     index = as_index(source)
     if logical is None:
         logical = index.default_logical
@@ -279,20 +285,26 @@ def infer_nesting(source, *, min_support: int = 3,
         for site, episodes in timers:
             intervals = _resolved_intervals(episodes)
             if intervals:
-                prepared.append(_TimerIntervals(site, intervals))
+                prepared.append(_TimerIntervals(
+                    site, intervals, _support_floor(
+                        len(intervals), min_support, min_containment)))
+        inners = [timer for timer in prepared
+                  if timer.needed <= len(timer.intervals)]
         for outer in prepared:
+            # Pair-level reject: the outer's envelope cannot contain
+            # enough of the inner's episodes to qualify.
+            o_min_start = outer.min_start
+            o_max_end = outer.max_end
+            eligible = [inner for inner in inners
+                        if inner.site is not outer.site
+                        and o_min_start <= inner.start_cap
+                        and o_max_end >= inner.end_floor]
+            if not eligible:
+                continue
             o_intervals = outer.intervals
             record_ends = outer.record_ends
             record_at = outer.record_at
             n_records = len(record_ends)
-            # Pair-level reject: no outer episode starts early enough /
-            # ends late enough for any inner episode.
-            eligible = [inner for inner in prepared
-                        if inner.site is not outer.site
-                        and outer.min_start <= inner.max_start
-                        and outer.max_end >= inner.min_end]
-            o_min_start = outer.min_start
-            o_max_end = outer.max_end
             tallies: dict[int, tuple[int, int]] = {}
             fc_memo: dict = {}    # (i_start, i_end) -> first_containing
             if outer.sorted_starts:
@@ -310,12 +322,6 @@ def infer_nesting(source, *, min_support: int = 3,
                     rec_starts_a = o_starts_a[rec_at_a]
                     rec_deads_a = o_deads_a[rec_at_a]
                     for idx, inner in enumerate(eligible):
-                        needed = _support_floor(len(inner.intervals),
-                                                min_support,
-                                                min_containment)
-                        if _support_ceiling(inner, o_min_start,
-                                            o_max_end) < needed:
-                            continue      # pair can never qualify
                         starts_a, ends_a, deads_a = inner.columns()
                         k = rec_ends_a.searchsorted(ends_a, side="left")
                         valid = k < n_records
@@ -357,12 +363,7 @@ def infer_nesting(source, *, min_support: int = 3,
                     # double loop dominates the whole analysis battery
                     # on busy traces when numpy is absent).
                     for idx, inner in enumerate(eligible):
-                        needed = _support_floor(len(inner.intervals),
-                                                min_support,
-                                                min_containment)
-                        if _support_ceiling(inner, o_min_start,
-                                            o_max_end) < needed:
-                            continue      # pair can never qualify
+                        needed = inner.needed
                         support = elidable = 0
                         remaining = len(inner.intervals)
                         for i_start, i_end, i_deadline in inner.intervals:
@@ -402,11 +403,6 @@ def infer_nesting(source, *, min_support: int = 3,
                 queries = []
                 meta = []
                 for idx, inner in enumerate(eligible):
-                    needed = _support_floor(len(inner.intervals),
-                                            min_support, min_containment)
-                    if _support_ceiling(inner, o_min_start,
-                                        o_max_end) < needed:
-                        continue      # pair can never qualify
                     for i_start, i_end, i_deadline in inner.intervals:
                         queries.append((i_start, i_end))
                         meta.append((idx, i_deadline))

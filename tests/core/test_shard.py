@@ -3,22 +3,32 @@ the numpy/pure dual paths of the nesting inference."""
 
 import pytest
 
+from repro import Machine
 from repro.core import nesting as nesting_mod
 from repro.core.index import TraceIndex
 from repro.core.nesting import infer_nesting
 from repro.core.report import render_analysis
 from repro.core.shard import shard_episodes, shard_of, sharded_analysis
+from repro.kern import Cluster
 from repro.sim.clock import SECOND
 from repro.workloads import run_workload
 
 
 @pytest.fixture(scope="module")
 def traces():
+    # One pid with ~1 000 mostly single-episode timers.
+    farm = Machine("linux", seed=11)
+    farm.scene("serverfarm", connections=400)
+    # Two hosts whose timers carry dozens of episodes each.
+    cluster = Cluster("vista", hosts=2, cpus=2, seed=11)
+    cluster.scene("serverfarm", connections=600)
     return {
         "linux": run_workload("linux", "firefox", 20 * SECOND,
                               seed=11).trace,
         "vista": run_workload("vista", "skype", 20 * SECOND,
                               seed=11).trace,
+        "linux-farm": farm.finish("serverfarm", 3 * SECOND).trace,
+        "vista-cluster": cluster.finish("serverfarm", 3 * SECOND).trace,
     }
 
 
@@ -87,11 +97,14 @@ class TestShardedAnalysis:
 class TestNestingDualPath:
     def test_pure_python_fallback_matches_numpy(self, traces,
                                                 monkeypatch):
-        """CI has no numpy: the pure path must produce the identical
-        pair list the vectorised path does."""
-        trace = traces["linux"]
-        with_np = infer_nesting(trace)
+        """CI runs one leg without numpy: the pure path must produce
+        the identical pair list the vectorised path does, where the
+        per-inner prefilter drops nearly every timer (the farm) and
+        where most timers qualify with many episodes (the cluster)."""
+        names = ("linux", "linux-farm", "vista-cluster")
+        with_np = [infer_nesting(traces[name]) for name in names]
+        assert all(with_np)
         monkeypatch.setattr(nesting_mod, "_np", None)
-        trace._index = None
-        without_np = infer_nesting(trace)
-        assert without_np == with_np
+        for name, expected in zip(names, with_np):
+            traces[name]._index = None
+            assert infer_nesting(traces[name]) == expected, name
