@@ -61,8 +61,8 @@ def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
              "workload: idle, webserver, serverfarm)")
     parser.add_argument(
         "--cpus", type=_positive_int, default=1, metavar="M",
-        help="shard the engine's timing wheel across M per-CPU wheels "
-             "(dispatch order and traces are identical at any M)")
+        help="CPUs per cluster host, stamped into each record's cpu "
+             "column (a single host's trace is identical at any M)")
 
 
 def _add_metrics_args(parser: argparse.ArgumentParser) -> None:
@@ -114,16 +114,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.hosts > 1:
         return _run_cluster(args, duration)
     mode = "streaming " if args.stream else ""
-    cpus = f", {args.cpus} CPUs" if args.cpus > 1 else ""
     print(f"{mode}running {args.os}/{args.workload} for "
-          f"{args.minutes:g} virtual minutes (seed {args.seed}{cpus})"
-          "...", file=sys.stderr)
-    if args.cpus > 1:
-        # Per-CPU sharded engine wheel; dispatch order — and the trace
-        # — are identical at any CPU count.
-        from .sim.sched import use_scheduler
-        with use_scheduler(f"sharded:{args.cpus}"):
-            return _run_single(args, duration)
+          f"{args.minutes:g} virtual minutes (seed {args.seed})...",
+          file=sys.stderr)
     return _run_single(args, duration)
 
 
@@ -224,10 +217,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
     jobs = [(os_name, workload,
              None if workload == "desktop" else duration, args.seed)
             for os_name, workload in order]
-    if args.cpus > 1:
-        # Sharded engine wheel for every simulation; the study output
-        # is byte-identical at any CPU count.
-        jobs = [job + (1, args.cpus) for job in jobs]
     cluster_backends = backends if args.hosts > 1 else []
     for os_name in cluster_backends:
         print(f"tracing {os_name}/serverfarm on {args.hosts} hosts...",

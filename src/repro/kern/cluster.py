@@ -15,10 +15,9 @@ Identity threading (the whole point of the layer):
 * each machine's kernel emits through a
   :class:`~repro.tracing.relay.HostStampSink`, which rewrites every
   record with the host id and a per-CPU affinity hash of its timer
-  id, carried to disk by the binfmt2 v3 columns;
-* with ``cpus > 1`` the shared engine runs a
-  :class:`~repro.sim.sched.ShardedWheelScheduler` — one wheel shard
-  per CPU, dispatch order still byte-identical to a single wheel;
+  id modulo ``cpus``, carried to disk by the binfmt2 v3 columns;
+  ``cpus`` changes nothing else — every host runs on the one shared
+  engine's default wheel;
 * per-host seeds are derived as ``seed + host_id``, so a cluster run
   is exactly as reproducible as a single-machine one, and host 1 of a
   one-host cluster is *not* the same stream as a standalone run
@@ -125,8 +124,7 @@ class Cluster:
                 f"at most 255 hosts per cluster, got {len(names)}")
         self.cpus = cpus
         self.seed = seed
-        scheduler = f"sharded:{cpus}" if cpus > 1 else None
-        self.engine = Engine(scheduler=scheduler)
+        self.engine = Engine()
         #: Machines in host order; ids are 1-based.
         self.machines = [
             Machine(os_name, seed=seed + host_id, host_id=host_id,

@@ -81,11 +81,11 @@ class Machine:
     standalone box and leaves the event stream untouched; cluster
     members are numbered from 1 and every record they emit is stamped
     through a :class:`~repro.tracing.relay.HostStampSink`).  ``cpus``
-    shards the engine's timing wheel per CPU
-    (:class:`~repro.sim.sched.ShardedWheelScheduler`); dispatch order
-    — and therefore the trace — is identical at any CPU count, so
-    ``cpus`` is purely a scalability/topology knob.  ``engine`` lets a
-    cluster put several machines on one shared clock.
+    is the modulus that stamp uses to fill each record's ``cpu``
+    column; it changes nothing else, so a standalone machine's trace
+    is identical at any CPU count.  Every machine runs on the default
+    engine wheel; ``engine`` lets a cluster put several machines on
+    one shared clock.
     """
 
     def __init__(self, os_name: str, *, seed: int = 0,
@@ -105,10 +105,6 @@ class Machine:
         self.buffer = spec.buffer_factory() if retain_events else NullSink()
         kernel_sink = HostStampSink(self.buffer, host_id, cpus) \
             if host_id else self.buffer
-        if engine is None and cpus > 1:
-            from ..sim.engine import Engine
-            from ..sim.sched import ShardedWheelScheduler
-            engine = Engine(scheduler=ShardedWheelScheduler(cpus))
         kwargs = dict(seed=seed, sink=kernel_sink)
         if engine is not None:
             kwargs["engine"] = engine

@@ -132,8 +132,8 @@ def _cluster_collector(daemon) -> Optional[Collector]:
     (not extra labels on the generic families — a metric's label set is
     fixed at first registration, and the ``power``/sink collectors
     already own the unlabelled view through host 1's shared engine).
-    The engine and scheduler are shared across hosts and covered, with
-    per-CPU shard occupancy, by the ``engine``/``sched`` collectors."""
+    The engine and scheduler are shared across hosts and covered by
+    the ``engine``/``sched`` collectors."""
     cluster = getattr(daemon, "cluster", None)
     if cluster is None:
         return None
@@ -146,7 +146,7 @@ def _cluster_collector(daemon) -> Optional[Collector]:
             names).set(cluster.hosts, **labels)
         registry.gauge(
             "repro_cluster_cpus",
-            "Per-CPU wheel shards on the shared engine.",
+            "CPUs per host stamped into the trace's cpu column.",
             names).set(cluster.cpus, **labels)
         host_names = names + ("host", "backend")
         records = registry.counter(

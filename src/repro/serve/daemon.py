@@ -57,7 +57,7 @@ class ServeConfig:
     seed: int = 0
     #: Serve an N-host cluster on one shared clock (1 = standalone).
     hosts: int = 1
-    #: Per-CPU engine wheel shards (1 = the single wheel).
+    #: CPUs per cluster host, stamped into each record's cpu column.
     cpus: int = 1
     host: str = "127.0.0.1"
     #: 0 binds an ephemeral port (tests, parallel daemons).

@@ -327,7 +327,11 @@ def _read_str(view: memoryview, off: int, limit: int) -> tuple[str, int]:
     off += 2
     if off + length > limit:
         raise TraceFormatError("truncated trace header")
-    return str(view[off:off + length], "utf-8"), off + length
+    try:
+        return str(view[off:off + length], "utf-8"), off + length
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(
+            f"corrupt string at byte {off}: {exc.reason}") from None
 
 
 def _cast_column(view: memoryview, off: int, code: str, itemsize: int,

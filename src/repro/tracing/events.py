@@ -68,9 +68,9 @@ class TimerEvent(NamedTuple):
         Machine identity in a cluster scene.  ``host`` is the
         machine's id (0 on a standalone single-host run, 1..N in a
         :class:`~repro.kern.cluster.Cluster`); ``cpu`` is the CPU the
-        operation is affined to when the host shards its timing wheel
-        per CPU (the Vista TCP re-architecture of Section 1).  Both
-        default to 0 so single-machine traces are unchanged.
+        timer is affined to on a host of ``cpus`` CPUs (the per-CPU
+        modulo hash of the Vista TCP re-architecture, Section 1).
+        Both default to 0 so single-machine traces are unchanged.
     """
 
     kind: EventKind

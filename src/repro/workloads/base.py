@@ -77,9 +77,10 @@ def run_cluster_workload(os_name, workload: str, duration_ns=None, *,
 #: Figure 1 desktop trace is always 90 s).  Two optional trailing
 #: fields extend a job to a cluster request: (..., hosts, cpus) —
 #: ``hosts > 1`` routes through :func:`run_cluster_workload` (the
-#: workload must be a registered scene), ``cpus > 1`` runs the
-#: engine on the per-CPU sharded wheel (trace bytes are identical at
-#: any CPU count, so this is purely a topology/scaling knob).
+#: workload must be a registered scene) and ``cpus`` sets the CPUs
+#: each cluster host stamps into its records; a single-host job ignores
+#: ``cpus``, since a standalone machine's trace is the same at any
+#: CPU count.
 TraceJob = Tuple[str, str, Optional[int], int]
 
 
@@ -105,12 +106,6 @@ def _run_one(job: TraceJob, sink_factory, retain_events: bool,
                                    hosts=hosts, cpus=cpus, seed=seed,
                                    sinks=sinks,
                                    retain_events=retain_events)
-    elif cpus > 1:
-        from ..sim.sched import use_scheduler
-        with use_scheduler(f"sharded:{cpus}"):
-            run = run_workload(os_name, workload, duration_ns,
-                               seed=seed, sinks=sinks,
-                               retain_events=retain_events)
     else:
         run = run_workload(os_name, workload, duration_ns, seed=seed,
                            sinks=sinks, retain_events=retain_events)

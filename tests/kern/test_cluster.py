@@ -6,7 +6,7 @@ import pytest
 
 from repro.kern import Cluster, Machine
 from repro.sim.clock import SECOND
-from repro.tracing import trace_to_bytes
+from repro.tracing import Trace, trace_to_bytes
 from repro.tracing.relay import HostStampSink
 from repro.workloads import run_cluster_workload, run_workload
 
@@ -37,6 +37,32 @@ def test_machines_share_engine_and_number_from_one():
     assert [m.host_id for m in cluster.machines] == [1, 2, 3]
     engines = {id(m.kernel.engine) for m in cluster.machines}
     assert engines == {id(cluster.engine)}
+
+
+@pytest.mark.parametrize("backends,cpus", [
+    (["linux"] * 3, 1),
+    (["vista"] * 3, 2),
+    (["linux", "vista", "linux"], 4),
+], ids=["linux-x3-cpus1", "vista-x3-cpus2", "mixed-cpus4"])
+def test_hosts_do_not_interact_through_the_shared_engine(backends, cpus):
+    """The shared engine is only a clock: the cluster trace equals a
+    stable timestamp-merge of standalone per-host runs, each host on
+    its own engine with the seed and identity the cluster gives it."""
+    connections = 300
+    cluster = Cluster(backends, cpus=cpus, seed=SEED)
+    cluster.scene("serverfarm", connections=connections)
+    shared = cluster.finish("serverfarm", DURATION_NS)
+    merged = []
+    for host_id, os_name in enumerate(backends, start=1):
+        machine = Machine(os_name, seed=SEED + host_id, host_id=host_id,
+                          cpus=cpus)
+        machine.scene("serverfarm", connections=connections)
+        merged.extend(machine.finish("serverfarm", DURATION_NS)
+                      .trace.events)
+    merged.sort(key=lambda event: event.ts)
+    alone = Trace(os_name=backends[0], workload="serverfarm",
+                  duration_ns=DURATION_NS, events=merged)
+    assert trace_to_bytes(shared.trace) == trace_to_bytes(alone)
 
 
 def test_machine_validates_identity():

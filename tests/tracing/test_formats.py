@@ -309,6 +309,22 @@ class TestErrorPaths:
             with pytest.raises(TraceFormatError):
                 trace_to_bytes(trace, format=name)
 
+    @pytest.mark.parametrize("string", [b"linux", b"Xorg"],
+                             ids=["os-name", "comm-table"])
+    def test_corrupt_string_table_raises(self, tmp_path, capsys, string):
+        """A non-UTF-8 byte in an interned string is a format error,
+        not an escaping UnicodeDecodeError."""
+        from repro.cli import main
+        blob = bytearray(trace_to_bytes(golden_trace()))
+        blob[blob.index(string)] = 0xFF
+        bad = str(tmp_path / "bad.bin")
+        with open(bad, "wb") as fh:
+            fh.write(blob)
+        with pytest.raises(TraceFormatError):
+            open_trace(bad)
+        assert main(["analyze", bad]) == 2
+        assert "bad.bin" in capsys.readouterr().err
+
     def test_cli_exit_2_on_corrupt_trace(self, tmp_path, capsys):
         from repro.cli import main
         bad = str(tmp_path / "bad.bin")
