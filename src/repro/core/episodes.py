@@ -144,25 +144,27 @@ _WAIT_UNBLOCK = EventKind.WAIT_UNBLOCK
 class EpisodeBuilder:
     """Incremental episode extraction for one timer's event stream.
 
-    The batch path (:func:`extract_episodes`) and the streaming
-    reducers (:mod:`repro.core.streaming`) share this state machine, so
-    an episode produced online is byte-identical to one produced from a
-    materialized :class:`~repro.tracing.trace.TimerHistory`.
+    The streaming router (:mod:`repro.core.streaming`) keeps one per
+    timer group; :func:`extract_episodes` is the same state machine
+    inlined for the batch path, and the differential tests pin the two
+    to byte-identical episodes.
 
-    Push events in trace order with :meth:`push`; completed episodes
-    are either appended to :attr:`episodes` or handed to the
-    ``on_episode`` callback (streaming mode, which retains only the
-    open-episode state — O(1) per timer).  Call :meth:`finish` once at
-    end of stream to close a still-armed episode as UNRESOLVED.
+    Push events in trace order with :meth:`push`; each completed
+    episode goes to the ``on_episode`` callback, so only the
+    open-episode state is retained — O(1) per timer.  ``open_count`` is
+    a one-element list shared by the builders of one router: each adds
+    one when it arms and takes one away when it closes, so the cell
+    holds how many of them have an episode open.  Call :meth:`finish`
+    once at end of stream to close a still-armed episode as UNRESOLVED.
     """
 
-    __slots__ = ("os_name", "on_episode", "episodes",
+    __slots__ = ("os_name", "on_episode", "open_count",
                  "_armed_at", "_armed_value", "_last_end", "_quantize")
 
-    def __init__(self, os_name: str, on_episode=None):
+    def __init__(self, os_name: str, on_episode, open_count: list[int]):
         self.os_name = os_name
         self.on_episode = on_episode
-        self.episodes: list[Episode] = []
+        self.open_count = open_count
         self._armed_at: Optional[int] = None
         self._armed_value = 0
         self._last_end: Optional[int] = None
@@ -173,14 +175,11 @@ class EpisodeBuilder:
         gap = None
         if self._last_end is not None and armed_at is not None:
             gap = armed_at - self._last_end
-        episode = Episode(armed_at, self._armed_value, outcome,
-                          ended_at, gap)
-        if self.on_episode is not None:
-            self.on_episode(episode)
-        else:
-            self.episodes.append(episode)
+        self.on_episode(Episode(armed_at, self._armed_value, outcome,
+                                ended_at, gap))
         self._last_end = ended_at if ended_at is not None else armed_at
         self._armed_at = None
+        self.open_count[0] -= 1
 
     def push(self, event) -> None:
         # Tuple subscripts over the TimerEvent NamedTuple: this runs
@@ -190,6 +189,7 @@ class EpisodeBuilder:
             if self._armed_at is not None:
                 self._close(Outcome.REARMED, event[1])
             self._armed_at = event[1]
+            self.open_count[0] += 1
             timeout = event[7] or 0            # timeout_ns
             if timeout > 0 and self._quantize and event[5] != "user":
                 timeout = -(-timeout // JIFFY) * JIFFY
@@ -206,16 +206,17 @@ class EpisodeBuilder:
             # Self-contained: expires_ns holds the block timestamp.
             if event[7] is None:
                 return
+            if self._armed_at is None:
+                self.open_count[0] += 1        # _close takes it back
             self._armed_at = event[8]
             self._armed_value = event[7]
             satisfied = bool(event[9] & FLAG_WAIT_SATISFIED)
             self._close(Outcome.CANCELED if satisfied else Outcome.EXPIRED,
                         event[1])
 
-    def finish(self) -> list[Episode]:
+    def finish(self) -> None:
         if self._armed_at is not None:
             self._close(Outcome.UNRESOLVED, None)
-        return self.episodes
 
 
 def extract_episodes(history: TimerHistory, os_name: str) -> list[Episode]:

@@ -12,6 +12,7 @@ human-readable origins the paper lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 from ..sim.clock import to_seconds
@@ -90,12 +91,13 @@ def origin_table(source, *, min_sets: int = 3,
     paper combined trace data with code inspection.
     """
     rows: dict[tuple[int, str], dict] = {}
+    # Sites are interned: few distinct (site, comm) pairs per trace.
+    origin_of = lru_cache(maxsize=None)(attribute_origin)
     for verdict in classify_trace(as_index(source), logical=logical):
         if verdict.dominant_value_ns is None \
                 or verdict.dominant_value_ns <= 0:
             continue
-        origin = attribute_origin(verdict.history.site,
-                                  verdict.history.comm)
+        origin = origin_of(verdict.history.site, verdict.history.comm)
         key = (verdict.dominant_value_ns, origin)
         entry = rows.setdefault(key, {"sets": 0, "classes": {}})
         entry["sets"] += verdict.set_count

@@ -3,7 +3,7 @@
 The batch analyses in :mod:`repro.core` read a fully materialised event
 list (the paper's 512 MiB relayfs dump read after the fact).  The
 reducers here consume :class:`~repro.tracing.events.TimerEvent` records
-one at a time through the sink protocol (anything with ``emit``), so
+through the sink protocol (anything with ``emit``), so
 they can be attached *live* to a running machine
 (:meth:`LinuxKernel.attach_sink` / :meth:`VistaKernel.attach_sink`) and
 aggregate a trace of any length in memory proportional to the number of
@@ -19,7 +19,8 @@ aggregate a trace of any length in memory proportional to the number of
   quantiles of the expiry/cancel fraction (free: the fractions are
   already in the bounded cell aggregation),
 * :class:`StreamingRates` — the Figure 1 set-rate series,
-* :class:`StreamingSuite` — all of the above behind one sink.
+* :class:`StreamingSuite` — all of the above behind one sink, which
+  buffers records and folds them in ``sample_every``-aligned chunks.
 
 Exactness: every reducer is designed to reproduce its batch counterpart
 *byte-identically* on the same event stream (the equivalence tests pin
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 import sys
+from functools import lru_cache
 from itertools import islice
 from typing import Callable, Iterable, Optional, Tuple
 
@@ -123,58 +125,12 @@ class StreamingSummary:
     # -- sink protocol ---------------------------------------------------
 
     def emit(self, event: TimerEvent) -> None:
-        self.n_events += 1
-        kind = event.kind
-        ts = event.ts
-        timer_id = event.timer_id
-        if event.host:
-            # Cluster traces: ids are per-host counters, so the same
-            # raw id on two hosts is two distinct timers.
-            timer_id = (event.host, timer_id)
-        self._timer_ids.add(timer_id)
-
-        if not (self._vista and (kind == EventKind.EXPIRE
-                                 or kind == EventKind.INIT)):
-            self._accesses += 1
-            if event.domain == "user":
-                self._user += 1
-            else:
-                self._kernel += 1
-
-        pending = self._pending
-        if kind == EventKind.SET:
-            self._set += 1
-            if timer_id in pending:
-                self._delta(ts, 0)
-            else:
-                pending.add(timer_id)
-            self._delta(ts, 1)
-        elif kind == EventKind.EXPIRE:
-            self._expired += 1
-            if timer_id in pending:
-                pending.discard(timer_id)
-                self._delta(ts, 0)
-        elif kind == EventKind.CANCEL:
-            if event.expires_ns is not None:
-                self._canceled += 1
-            if timer_id in pending:
-                pending.discard(timer_id)
-                self._delta(ts, 0)
-        elif kind == EventKind.WAIT_UNBLOCK:
-            if event.timeout_ns is not None:
-                self._set += 1
-                if event.flags & FLAG_WAIT_SATISFIED:
-                    self._canceled += 1
-                else:
-                    self._expired += 1
-                self._delta(event.expires_ns, 1)   # block timestamp
-                self._delta(ts, 0)
-        self._commit(ts - self.wait_horizon_ns)
+        self.emit_batch((event,))
 
     def emit_batch(self, events: Iterable[TimerEvent]) -> None:
-        """Per-event :meth:`emit` with the kind dispatch and the
-        commit sweep inlined — state-identical to the sequential path
-        (the sweep applies the same instants at the same watermarks).
+        """Fold events in order: count them, track pending timers, and
+        buffer interval endpoints, committing every instant that falls
+        behind the watermark ``ts - wait_horizon_ns`` after each event.
         """
         set_kind = EventKind.SET
         expire_kind = EventKind.EXPIRE
@@ -290,12 +246,12 @@ class _Group:
 
     __slots__ = ("key", "comm", "first_site", "set_site", "builder")
 
-    def __init__(self, key, event: TimerEvent, builder: EpisodeBuilder):
+    def __init__(self, key, event: TimerEvent):
         self.key = key
         self.comm = event.comm
         self.first_site = event.site
         self.set_site: Optional[Tuple[str, ...]] = None
-        self.builder = builder
+        self.builder: Optional[EpisodeBuilder] = None
 
     @property
     def site(self) -> Tuple[str, ...]:
@@ -326,6 +282,8 @@ class EpisodeRouter:
         self._groups: dict = {}
         self._site_of_id: dict = {}
         self._subscribers: list = []
+        #: Groups with an episode open, kept by the builders themselves.
+        self._open = [0]
         #: Routing volume counters (mirrored into repro.obs metrics).
         self.groups_created = 0
         self.episodes_routed = 0
@@ -337,31 +295,12 @@ class EpisodeRouter:
         return self._groups.values()
 
     def open_episodes(self) -> int:
-        return sum(1 for group in self._groups.values()
-                   if group.builder is not None
-                   and group.builder._armed_at is not None)
-
-    def _key_for(self, event: TimerEvent):
-        # Host-qualified keys on cluster traces: raw timer ids (and
-        # (site, pid) clusters) are per-host namespaces.
-        host = event.host
-        if not self.logical:
-            return (host, event.timer_id) if host else event.timer_id
-        timer_id = (host, event.timer_id) if host else event.timer_id
-        kind = event.kind
-        if kind == EventKind.SET or kind == EventKind.INIT \
-                or kind == EventKind.WAIT_UNBLOCK:
-            key = (host, event.site, event.pid) if host \
-                else (event.site, event.pid)
-            self._site_of_id[timer_id] = key
-            return key
-        return self._site_of_id.get(
-            timer_id, (host, event.site, event.pid) if host
-            else (event.site, event.pid))
+        """Groups whose builder holds an armed episode — O(1), and safe
+        to read from a thread other than the one emitting."""
+        return self._open[0]
 
     def _new_group(self, key, event: TimerEvent) -> _Group:
-        builder = EpisodeBuilder(self.os_name)
-        group = self._groups[key] = _Group(key, event, builder)
+        group = self._groups[key] = _Group(key, event)
         self.groups_created += 1
         subscribers = self._subscribers
 
@@ -372,30 +311,22 @@ class EpisodeRouter:
             for consumer in subscribers:
                 consumer.on_episode(group, episode)
 
-        builder.on_episode = dispatch
+        group.builder = EpisodeBuilder(self.os_name, dispatch, self._open)
         for consumer in subscribers:
             consumer.on_group(group)
         return group
 
     def emit(self, event: TimerEvent) -> None:
-        key = self._key_for(event)
-        group = self._groups.get(key)
-        if group is None:
-            group = self._new_group(key, event)
-        if group.set_site is None and event.kind == EventKind.SET:
-            group.set_site = event.site
-        group.builder.push(event)
+        self.emit_batch((event,))
 
     def emit_batch(self, events: Iterable[TimerEvent]) -> None:
-        """Route a whole batch of events in one call.
+        """Route events in order to their groups' builders, creating
+        groups (and telling subscribers) on first sight.
 
-        Result-identical to calling :meth:`emit` per event — the same
-        groups in the same creation order, the same episodes in the
-        same dispatch order — with the per-event overhead (the call
-        frame, key-routing attribute lookups, the group-dict method
-        resolution) hoisted out of the loop.  This is the fast path the
-        engine's bucket-batch dispatch feeds: one drained bucket, one
-        ``emit_batch``.
+        A logical group is keyed by the (site, pid) of the timer's most
+        recent SET/INIT/WAIT_UNBLOCK; a group's ``site`` is its first
+        SET's stack.  Loop-invariant lookups are hoisted and the hot
+        fields come from tuple subscripts.
         """
         logical = self.logical
         lookup = self._groups.get
@@ -502,6 +433,7 @@ class StreamingClassifier:
             self.router.finish()
         breakdown = PatternBreakdown(self.workload, self.os_name)
         origin_rows: dict = {}
+        origin_of = lru_cache(maxsize=None)(attribute_origin)
         for group, stats in self._stats:
             timer_class, value = stats.classify()
             breakdown.counts[timer_class] = \
@@ -509,7 +441,7 @@ class StreamingClassifier:
             breakdown.total += 1
             if value is None or value <= 0:
                 continue
-            origin = attribute_origin(group.site, group.comm)
+            origin = origin_of(group.site, group.comm)
             key = (value, origin)
             entry = origin_rows.get(key)
             if entry is None:
@@ -559,24 +491,12 @@ class StreamingValues:
         self.result: Optional[ValueHistogram] = None
 
     def emit(self, event: TimerEvent) -> None:
-        kind = event.kind
-        if kind == EventKind.WAIT_UNBLOCK:
-            if not self.include_waits or event.timeout_ns is None:
-                return
-        elif kind != EventKind.SET:
-            return
-        if self.domain is not None and event.domain != self.domain:
-            return
-        value = event.timeout_ns or 0
-        if self.raw_user_values and value > 0 and self._quantize \
-                and event.domain != "user":
-            value = -(-value // JIFFY) * JIFFY
-        self._counts[value] = self._counts.get(value, 0) + 1
-        self._total += 1
+        self.emit_batch((event,))
 
     def emit_batch(self, events: Iterable[TimerEvent]) -> None:
-        """Per-event :meth:`emit`, with the filters and the
-        quantisation rule hoisted out of the loop."""
+        """Count the nominal value of every SET (and timed wait) that
+        passes the filters, with the filters and the quantisation rule
+        hoisted out of the loop."""
         set_kind = EventKind.SET
         wait_kind = EventKind.WAIT_UNBLOCK
         include_waits = self.include_waits
@@ -726,23 +646,11 @@ class StreamingRates:
         self.result: Optional[RateSeries] = None
 
     def emit(self, event: TimerEvent) -> None:
-        kind = event.kind
-        if kind not in self.kinds:
-            return
-        ts = event.ts
-        if kind == EventKind.WAIT_UNBLOCK:
-            if event.timeout_ns is None:
-                return
-            ts = event.expires_ns        # block timestamp
-        bucket = ts // self.bucket_ns
-        group = self._sparse.get(self.group_fn(event))
-        if group is None:
-            group = self._sparse[self.group_fn(event)] = {}
-        group[bucket] = group.get(bucket, 0) + 1
+        self.emit_batch((event,))
 
     def emit_batch(self, events: Iterable[TimerEvent]) -> None:
-        """Per-event :meth:`emit` with the filter and bucket math
-        hoisted out of the loop."""
+        """Count each selected event in its group's bucket (a timed
+        wait counts at its block timestamp)."""
         kinds = self.kinds
         wait_kind = EventKind.WAIT_UNBLOCK
         bucket_ns = self.bucket_ns
@@ -798,6 +706,15 @@ class StreamingSuite:
     episodes, pending timers, buffered sweep instants); ``peak_state``
     samples its maximum every ``sample_every`` events — the number the
     bounded-memory benchmark tracks.
+
+    :meth:`emit` only buffers the record.  The buffer is folded through
+    :meth:`emit_batch`'s column-wise path when it reaches the next
+    ``sample_every`` boundary, so it never holds more than
+    ``sample_every`` records, and also by :meth:`flush`, which
+    :meth:`state_size`, :meth:`finish`, ``collect_streaming`` and each
+    ``serve`` slice call.  Folding touches reducer state, so only the
+    emitting thread may fold; :meth:`live_state` (read by the serve
+    daemon's HTTP threads) never does.
     """
 
     def __init__(self, os_name: str, workload: str, *,
@@ -806,9 +723,13 @@ class StreamingSuite:
                  sample_every: int = 4096):
         self.os_name = os_name
         self.workload = workload
+        #: Records emitted so far, folded or still buffered.
         self.n_events = 0
         self.sample_every = sample_every
         self.peak_state = 0
+        self._buffer: list[TimerEvent] = []
+        self._folded = 0
+        self._fold_at = sample_every
         self.router = EpisodeRouter(os_name, logical=logical)
         self.summary_reducer = StreamingSummary(os_name, workload)
         self.classifier = StreamingClassifier(
@@ -829,15 +750,17 @@ class StreamingSuite:
         self.rates: Optional[RateSeries] = None
 
     def emit(self, event: TimerEvent) -> None:
+        self._buffer.append(event)
         self.n_events += 1
-        self.summary_reducer.emit(event)
-        self.values_reducer.emit(event)
-        self.rates_reducer.emit(event)
-        self.router.emit(event)
-        if self.n_events % self.sample_every == 0:
-            size = self.state_size()
-            if size > self.peak_state:
-                self.peak_state = size
+        if self.n_events >= self._fold_at:
+            self.flush()
+
+    def flush(self) -> None:
+        """Fold the buffered records into the reducers."""
+        buffer = self._buffer
+        if buffer:
+            self._buffer = []
+            self._fold(buffer)
 
     def emit_batch(self, events: Iterable[TimerEvent]) -> None:
         """Fold a whole batch of events through every reducer.
@@ -857,6 +780,11 @@ class StreamingSuite:
         shared by all four reducer loops, and released — the whole
         event list never exists in memory.
         """
+        self.flush()
+        self._fold(events)
+        self.n_events = self._folded
+
+    def _fold(self, events: Iterable[TimerEvent]) -> None:
         it = iter(events)
         sample_every = self.sample_every
         summary_batch = self.summary_reducer.emit_batch
@@ -864,30 +792,38 @@ class StreamingSuite:
         rates_batch = self.rates_reducer.emit_batch
         route_batch = self.router.emit_batch
         while True:
-            take = sample_every - self.n_events % sample_every
+            take = sample_every - self._folded % sample_every
             chunk = list(islice(it, take))
             if not chunk:
-                return
+                break
             summary_batch(chunk)
             values_batch(chunk)
             rates_batch(chunk)
             route_batch(chunk)
-            self.n_events += len(chunk)
+            self._folded += len(chunk)
             if len(chunk) == take:
-                size = self.state_size()
-                if size > self.peak_state:
-                    self.peak_state = size
+                self._sample()
+        # emit folds again when the count reaches the next boundary.
+        self._fold_at = self._folded + take
 
-    def state_size(self) -> int:
+    def _state_size(self) -> int:
         return self.summary_reducer.state_size() \
             + self.router.open_episodes()
+
+    def _sample(self) -> None:
+        size = self._state_size()
+        if size > self.peak_state:
+            self.peak_state = size
+
+    def state_size(self) -> int:
+        self.flush()
+        return self._state_size()
 
     def finish(self, duration_ns: int) -> "StreamingSuite":
         if self.finished:
             return self
-        size = self.state_size()
-        if size > self.peak_state:
-            self.peak_state = size
+        self.flush()
+        self._sample()
         self.duration_ns = duration_ns
         self.router.finish()
         self.summary = self.summary_reducer.finish(duration_ns)
@@ -925,10 +861,12 @@ class StreamingSuite:
         """Point-in-time progress counters, safe both mid-run and after
         :meth:`finish` (when the transient state has been dropped) —
         the ``timerstudy serve`` daemon reports these on ``/statusz``.
+        Never folds: ``events`` counts buffered records, the other
+        entries describe the records folded so far.
         """
         return {
             "events": self.n_events,
-            "state_entries": 0 if self.finished else self.state_size(),
+            "state_entries": 0 if self.finished else self._state_size(),
             "state_peak": self.peak_state,
             "groups": self.groups_routed,
             "episodes": self.episodes_routed,

@@ -12,7 +12,9 @@ levels.
 The structure gives O(1) insertion and removal, at the cost of cascade
 work, which is the Varghese–Lauck timing-wheel trade-off the paper
 cites; ``benchmarks/bench_wheel_vs_heap.py`` measures it against a
-binary heap.
+binary heap.  Each bucket is an insertion-ordered ``dict`` used as a
+set: ``remove`` is a ``del`` (the kernel's ``list_del``), and iteration
+keeps the order timers were queued in, which is the order they fire.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ class WheelTimer:
 
     def __init__(self) -> None:
         self.expires: int = 0                 # absolute jiffy
-        self._bucket: Optional[list] = None   # bucket list while pending
+        self._bucket: Optional[dict] = None   # bucket while pending
 
     @property
     def pending(self) -> bool:
@@ -51,9 +53,10 @@ class TimerWheel:
     def __init__(self, now_jiffies: int = 0):
         #: Next jiffy to be processed by :meth:`run_timers`.
         self.timer_jiffies = now_jiffies
-        self.tv1: list[list[WheelTimer]] = [[] for _ in range(TVR_SIZE)]
-        self.tvn: list[list[list[WheelTimer]]] = [
-            [[] for _ in range(TVN_SIZE)] for _ in range(4)]
+        self.tv1: list[dict[WheelTimer, None]] = [
+            {} for _ in range(TVR_SIZE)]
+        self.tvn: list[list[dict[WheelTimer, None]]] = [
+            [{} for _ in range(TVN_SIZE)] for _ in range(4)]
         self.pending_count = 0
         #: Cascade statistics for the wheel-vs-heap benchmark.
         self.cascades = 0
@@ -61,7 +64,7 @@ class TimerWheel:
 
     # -- internal placement (internal_add_timer) -------------------------
 
-    def _bucket_for(self, expires: int) -> list[WheelTimer]:
+    def _bucket_for(self, expires: int) -> dict[WheelTimer, None]:
         idx = expires - self.timer_jiffies
         if idx < 0:
             # Timer already expired: fire on the next processed jiffy.
@@ -86,7 +89,7 @@ class TimerWheel:
             raise ValueError("timer is already pending")
         timer.expires = expires
         bucket = self._bucket_for(expires)
-        bucket.append(timer)
+        bucket[timer] = None
         timer._bucket = bucket
         self.pending_count += 1
 
@@ -95,7 +98,7 @@ class TimerWheel:
         bucket = timer._bucket
         if bucket is None:
             return False
-        bucket.remove(timer)
+        del bucket[timer]
         timer._bucket = None
         self.pending_count -= 1
         return True
@@ -106,7 +109,7 @@ class TimerWheel:
         if not bucket:
             return
         self.cascades += 1
-        moved = bucket[:]
+        moved = list(bucket)
         bucket.clear()
         for timer in moved:
             timer._bucket = None
@@ -134,13 +137,22 @@ class TimerWheel:
                     self._cascade(level, slot)
                     if slot != 0:
                         break
+            # Swap in an empty slot and fire the drained one in queue
+            # order.  A callback may remove a timer still queued behind
+            # it (its ``_bucket`` is then no longer the drained dict) or
+            # add one to the current jiffy, which lands in the fresh
+            # slot and fires on the next turn of this loop.
             bucket = self.tv1[index]
             while bucket:
-                timer = bucket.pop(0)
-                timer._bucket = None
-                self.pending_count -= 1
-                fired += 1
-                fire(timer)
+                self.tv1[index] = {}
+                for timer in list(bucket):
+                    if timer._bucket is not bucket:
+                        continue
+                    timer._bucket = None
+                    self.pending_count -= 1
+                    fired += 1
+                    fire(timer)
+                bucket = self.tv1[index]
             self.timer_jiffies += 1
         return fired
 

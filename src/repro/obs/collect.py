@@ -493,6 +493,9 @@ def collect_sec51(result, *, registry: Optional[MetricsRegistry] = None,
 
 def collect_streaming(suite, registry: MetricsRegistry,
                       labels: dict) -> None:
+    """Streaming-suite series; folds the suite's buffered records
+    first, so call it on the thread that feeds the suite."""
+    suite.flush()
     names = tuple(labels)
     registry.counter(
         "repro_streaming_events_total",

@@ -221,6 +221,9 @@ class ServeDaemon:
             else (self.machine,)
         for machine in machines:
             self.drained_events += len(machine.buffer.drain())
+        # Fold the suite's buffered records on this thread, so the
+        # slice's analysis state is complete before collectors read it.
+        self.suite.flush()
 
     def _publish(self) -> None:
         base = self.registry.snapshot()

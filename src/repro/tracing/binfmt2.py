@@ -348,6 +348,20 @@ def _cast_column(view: memoryview, off: int, code: str, itemsize: int,
     return col
 
 
+def _code_range_error(columns, comms, sites) -> Optional[str]:
+    """Hydration indexes these tables with the raw column values, so
+    check each code column once, whole, rather than fail mid-analysis."""
+    for name, column, table in (("comm_idx", columns[5], comms),
+                                ("site_idx", columns[6], sites),
+                                ("kind", columns[7], _KIND_BY_CODE),
+                                ("domain", columns[9], _DOMAINS)):
+        top = max(column, default=-1)
+        if top >= len(table):
+            return (f"corrupt trace: {name} value {top} out of range "
+                    f"(table has {len(table)} entries)")
+    return None
+
+
 def load_columnar(view: memoryview, mapped=None) -> ColumnarTrace:
     """Build a :class:`ColumnarTrace` over an in-memory v2/v3 buffer.
 
@@ -405,6 +419,10 @@ def load_columnar(view: memoryview, mapped=None) -> ColumnarTrace:
     for _name, code, itemsize in layout:
         columns.append(_cast_column(view, off, code, itemsize, n_events))
         off += itemsize * n_events
+    problem = _code_range_error(columns, comms, sites)
+    if problem is not None:
+        del columns         # release the views so the mapping can close
+        raise TraceFormatError(problem)
     if version == VERSION2:
         # Pre-cluster file: every event is host 0 / cpu 0.
         columns.append(memoryview(bytes(n_events)))

@@ -325,6 +325,31 @@ class TestErrorPaths:
         assert main(["analyze", bad]) == 2
         assert "bad.bin" in capsys.readouterr().err
 
+    # Offsets from the end of a v2 file of n events: the last three
+    # columns are kind, flags and domain (u8), after three u32 columns.
+    @pytest.mark.parametrize("column, offset_from_end, value", [
+        ("kind", lambda n: 3 * n, 200),
+        ("domain", lambda n: n, 2),
+        ("site_idx", lambda n: 3 * n + 4 * n, 0xFF),
+    ])
+    def test_out_of_range_code_column_raises(self, tmp_path, capsys,
+                                             column, offset_from_end,
+                                             value):
+        """An index byte past its table is a format error when the
+        trace is opened, not an IndexError mid-analysis."""
+        from repro.cli import main
+        trace = run_workload("linux", "idle", 2 * SECOND, seed=0).trace
+        blob = bytearray(trace_to_bytes(trace, format="binfmt2"))
+        assert blob[8] == 2                      # format version 2
+        blob[len(blob) - offset_from_end(len(trace.events))] = value
+        bad = str(tmp_path / "bad.bin")
+        with open(bad, "wb") as fh:
+            fh.write(blob)
+        with pytest.raises(TraceFormatError, match=column):
+            open_trace(bad)
+        assert main(["analyze", bad]) == 2
+        assert "bad.bin" in capsys.readouterr().err
+
     def test_cli_exit_2_on_corrupt_trace(self, tmp_path, capsys):
         from repro.cli import main
         bad = str(tmp_path / "bad.bin")
